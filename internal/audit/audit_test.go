@@ -32,7 +32,7 @@ func testRecord(id, family string) Record {
 		SampleSize: 500,
 		PoolSize:   5000,
 		EpsilonHat: 0.08,
-		Options:    FromCore(core.Options{Epsilon: 0.1, Seed: 1}.WithDefaults()),
+		Options:    core.Options{Epsilon: 0.1, Seed: 1}.WithDefaults().Wire(),
 		CreatedAt:  time.Unix(0, 0).UTC(),
 	}
 }
@@ -163,7 +163,7 @@ func TestReplayDeterministicBitIdentical(t *testing.T) {
 	defer l.Close()
 	rec := testRecord("m-det", "logistic")
 	rec.EpsilonHat = res.EstimatedEpsilon
-	rec.Options = FromCore(opts)
+	rec.Options = opts.Wire()
 	if err := l.Append(rec); err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
+	"blinkml/internal/models"
 	"blinkml/internal/optimize"
 )
 
@@ -34,8 +35,9 @@ type SourceResolver func(ctx context.Context, ref json.RawMessage) (dataset.Sour
 // ModelLookup fetches a stored model by ID (the registry, in serving).
 type ModelLookup func(id string) (*modelio.Model, error)
 
-// Replayer validates one record. LocalReplayer trains in-process; the
-// serving layer's cluster executor provides a fan-out implementation.
+// Replayer validates one record. LocalReplayer trains in-process against a
+// caller-supplied source; the serving layer replays through its task
+// dispatch, in-process or on the worker fleet.
 type Replayer interface {
 	Replay(ctx context.Context, rec Record, m *modelio.Model) (ReplayOutcome, error)
 }
@@ -61,8 +63,15 @@ func (r LocalReplayer) Replay(ctx context.Context, rec Record, m *modelio.Model)
 	if err != nil {
 		return ReplayOutcome{}, err
 	}
-	optim := core.WithCancel(ctx, optimize.Options{MaxIters: rec.Options.MaxIters})
-	rep, err := core.ValidateGuarantee(env, m.Spec, &core.Result{Theta: m.Theta, EstimatedEpsilon: rec.EpsilonHat}, optim)
+	return Validate(ctx, env, m.Spec, m.Theta, rec.EpsilonHat, rec.Options.MaxIters)
+}
+
+// Validate trains the full-data model on env and measures the realized
+// difference of theta, shipped with the bound ε̂, against it. Every replay
+// path runs through it.
+func Validate(ctx context.Context, env *core.Env, spec models.Spec, theta []float64, bound float64, maxIters int) (ReplayOutcome, error) {
+	optim := core.WithCancel(ctx, optimize.Options{MaxIters: maxIters})
+	rep, err := core.ValidateGuarantee(env, spec, &core.Result{Theta: theta, EstimatedEpsilon: bound}, optim)
 	if err != nil {
 		return ReplayOutcome{}, err
 	}

@@ -1,13 +1,14 @@
 // Package cluster implements BlinkML's coordinator/worker distributed
 // execution layer. A coordinator — embedded in blinkml-serve when cluster
-// mode is on — owns a queue of tasks (full training runs and individual
-// hyperparameter-search trials) and leases them to blinkml-worker processes
-// that register over HTTP, heartbeat, and advertise capacity. Workers fetch
-// the datasets a task references from the coordinator's store (checksummed,
-// cached locally, fetched at most once per content), rebuild the exact
-// training environment the in-process path would use, and ship results
-// back — trained models travel in the versioned modelio format straight
-// into the coordinator's registry.
+// mode is on — owns a queue of tasks (full training runs, individual
+// hyperparameter-search trials and guarantee replays) and leases them to
+// blinkml-worker processes that register over HTTP, heartbeat, and
+// advertise capacity. Workers fetch the datasets a task references from the
+// coordinator's store (checksummed, cached locally, fetched at most once
+// per content), run the task through Executor — the same code blinkml-serve
+// runs in-process when it has no coordinator — and ship results back;
+// trained models travel in the versioned modelio format straight into the
+// coordinator's registry.
 //
 // The contract that makes the fan-out safe to reason about:
 //
@@ -47,12 +48,13 @@ import (
 	"hash/fnv"
 	"math"
 	"strings"
+	"sync"
 	"time"
 
 	"blinkml/internal/core"
+	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
-	"blinkml/internal/optimize"
 )
 
 // TaskKind tags what a task payload carries.
@@ -159,8 +161,10 @@ func (r *DatasetRef) Key() string {
 	}
 }
 
-// Synth names a deterministic synthetic workload — workers regenerate it
-// locally instead of transferring it.
+// Synth names a deterministic synthetic workload ("gas", "power",
+// "criteo", "higgs", "mnist", "yelp", "counts"); zero Rows/Dim use the
+// per-dataset defaults. Workers regenerate it locally instead of
+// transferring it.
 type Synth struct {
 	Name string `json:"name"`
 	Rows int    `json:"rows,omitempty"`
@@ -168,18 +172,58 @@ type Synth struct {
 	Seed int64  `json:"seed,omitempty"`
 }
 
-// Inline is a small dense dataset shipped inside the task payload. It is
-// the small-data path: every trial task of a search carries the rows, so
-// anything beyond a few thousand rows belongs in the dataset store, where
-// tasks carry only an id and workers fetch the bytes once.
+// Inline is a small dataset shipped inside the request or task payload,
+// either dense (row-major X) or sparse (per-row Indices/Values over an
+// ambient Dim). Sparse payloads at or below the density threshold train on
+// the sparse kernels; denser ones fall back to dense rows, with
+// bit-identical results either way. It is the small-data path: every trial
+// task of a search carries the rows, so anything beyond a few thousand rows
+// belongs in the dataset store, where tasks carry only an id and workers
+// fetch the bytes once.
 type Inline struct {
-	Task    string      `json:"task"`
-	X       [][]float64 `json:"x,omitempty"`
+	// Task is "regression", "binary", "multiclass", or "unsupervised".
+	Task string `json:"task"`
+	// X holds dense rows.
+	X [][]float64 `json:"x,omitempty"`
+	// Dim is the ambient dimension for sparse rows (0 = infer from the
+	// largest index). Indices[i] are strictly increasing 0-based feature
+	// ids; Values[i] the matching entries.
 	Dim     int         `json:"dim,omitempty"`
 	Indices [][]int32   `json:"indices,omitempty"`
 	Values  [][]float64 `json:"values,omitempty"`
-	Y       []float64   `json:"y,omitempty"`
-	Classes int         `json:"classes,omitempty"`
+	// Y holds labels (empty for unsupervised).
+	Y []float64 `json:"y,omitempty"`
+	// Classes is K for multiclass (0 = infer from the labels).
+	Classes int `json:"classes,omitempty"`
+
+	// hash memoizes contentHash: a payload is not mutated once decoded, and
+	// every trial of a search keys its environment on the same one.
+	hashOnce sync.Once
+	hash     uint64
+}
+
+// Sparse reports whether the payload uses the sparse shape.
+func (d *Inline) Sparse() bool { return len(d.Indices) > 0 }
+
+// Rows returns the number of rows in either shape.
+func (d *Inline) Rows() int {
+	if d.Sparse() {
+		return len(d.Indices)
+	}
+	return len(d.X)
+}
+
+// Build materializes the payload as a Dataset (sparse payloads pack into a
+// CSR block, with the standard density-threshold dense fallback).
+func (d *Inline) Build() (*dataset.Dataset, error) {
+	task, err := dataset.ParseTask(d.Task)
+	if err != nil {
+		return nil, err
+	}
+	if d.Sparse() {
+		return dataset.FromSparse(task, d.Dim, d.Indices, d.Values, d.Y, d.Classes)
+	}
+	return dataset.FromDense(task, d.X, d.Y, d.Classes)
 }
 
 // contentHash folds every value, label, row boundary, and the class count
@@ -187,6 +231,11 @@ type Inline struct {
 // payloads additionally fold the ambient dim and every stored index, so two
 // sparse datasets with the same values at different coordinates hash apart.
 func (d *Inline) contentHash() uint64 {
+	d.hashOnce.Do(func() { d.hash = d.hashContent() })
+	return d.hash
+}
+
+func (d *Inline) hashContent() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
 	word := func(u uint64) {
@@ -219,39 +268,11 @@ func (d *Inline) contentHash() uint64 {
 	return h.Sum64()
 }
 
-// TrainOptions is the wire form of the core.Options subset the serving
-// layer exposes — everything a worker needs to rebuild the coordinator's
-// exact training environment.
-type TrainOptions struct {
-	Epsilon           float64 `json:"epsilon"`
-	Delta             float64 `json:"delta,omitempty"`
-	Seed              int64   `json:"seed,omitempty"`
-	InitialSampleSize int     `json:"initial_sample_size,omitempty"`
-	MinSampleSize     int     `json:"min_sample_size,omitempty"`
-	MaxIters          int     `json:"max_iters,omitempty"`
-	WarmStart         bool    `json:"warm_start,omitempty"`
-	TestFraction      float64 `json:"test_fraction,omitempty"`
-}
-
-// CoreOptions converts the wire options to core.Options.
-func (o TrainOptions) CoreOptions() core.Options {
-	return core.Options{
-		Epsilon:           o.Epsilon,
-		Delta:             o.Delta,
-		Seed:              o.Seed,
-		InitialSampleSize: o.InitialSampleSize,
-		MinSampleSize:     o.MinSampleSize,
-		WarmStart:         o.WarmStart,
-		TestFraction:      o.TestFraction,
-		Optimizer:         optimize.Options{MaxIters: o.MaxIters},
-	}
-}
-
 // TrainTask is a full BlinkML training run.
 type TrainTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.WireOptions `json:"options"`
 }
 
 // TrialTask is one hyperparameter-search trial (see tune.Trial). The worker
@@ -261,7 +282,7 @@ type TrainTask struct {
 type TrialTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.WireOptions `json:"options"`
 	// Contract selects a full (ε, δ) training; otherwise a halving rung.
 	Contract bool `json:"contract,omitempty"`
 	// N is the rung subsample size; Rung the 0-based rung index.
@@ -277,7 +298,7 @@ type TrialTask struct {
 type AuditTask struct {
 	Spec    modelio.SpecJSON `json:"spec"`
 	Dataset DatasetRef       `json:"dataset"`
-	Options TrainOptions     `json:"options"`
+	Options core.WireOptions `json:"options"`
 	// Theta is the approximate model under audit.
 	Theta []float64 `json:"theta"`
 	// Bound is the ε̂ the model shipped with.

@@ -68,13 +68,13 @@ func syntheticRef() DatasetRef {
 	return DatasetRef{Synthetic: &Synth{Name: "higgs", Rows: 4000, Dim: 8, Seed: 11}}
 }
 
-func testTrainOptions() TrainOptions {
-	return TrainOptions{Epsilon: 0.08, Delta: 0.05, Seed: 7, InitialSampleSize: 400}
+func testTrainOptions() core.WireOptions {
+	return core.WireOptions{Epsilon: 0.08, Delta: 0.05, Seed: 7, InitialSampleSize: 400}
 }
 
 // localModel trains in-process — the reference the remote path must match
 // bit for bit.
-func localModel(t *testing.T, ref DatasetRef, opts TrainOptions) *core.Result {
+func localModel(t *testing.T, ref DatasetRef, opts core.WireOptions) *core.Result {
 	t.Helper()
 	s := ref.Synthetic
 	ds, err := datagen.Generate(s.Name, datagen.Config{Rows: s.Rows, Dim: s.Dim, Seed: s.Seed})
@@ -85,7 +85,7 @@ func localModel(t *testing.T, ref DatasetRef, opts TrainOptions) *core.Result {
 	if err != nil {
 		t.Fatalf("spec: %v", err)
 	}
-	res, err := core.TrainSourceContext(context.Background(), spec, ds, opts.CoreOptions())
+	res, err := core.TrainSourceContext(context.Background(), spec, ds, opts.Core())
 	if err != nil {
 		t.Fatalf("local train: %v", err)
 	}
@@ -147,8 +147,8 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 		modelio.SpecJSON{Name: "logistic", Reg: 0.3},
 	)}
 
-	opts := TrainOptions{Epsilon: 0.1, Delta: 0.05, Seed: 5, InitialSampleSize: 300, TestFraction: 0.15}
-	cfg := tune.Config{Train: opts.CoreOptions(), Workers: 2, Seed: 5}
+	opts := core.WireOptions{Epsilon: 0.1, Delta: 0.05, Seed: 5, InitialSampleSize: 300, TestFraction: 0.15}
+	cfg := tune.Config{Train: opts.Core(), Workers: 2, Seed: 5}
 
 	// Local reference search.
 	s := ref.Synthetic
@@ -161,7 +161,7 @@ func TestRemoteTuneMatchesLocal(t *testing.T) {
 		t.Fatalf("local search: %v", err)
 	}
 
-	runner := NewTrialRunner(tc.coord, ref, opts, core.PoolSize(s.Rows, opts.CoreOptions()))
+	runner := NewTrialRunner(tc.coord, ref, opts, core.PoolSize(s.Rows, opts.Core()))
 	got, err := tune.SearchRunner(context.Background(), space, runner, cfg)
 	if err != nil {
 		t.Fatalf("remote search: %v", err)
@@ -266,10 +266,10 @@ func TestWorkerFetchesAndCachesDataset(t *testing.T) {
 	tc := newTestCluster(t, testConfig(), st)
 	w := tc.startWorker(t, "w1")
 
-	opts := TrainOptions{Epsilon: 0.1, Delta: 0.05, Seed: 9, InitialSampleSize: 300}
+	opts := core.WireOptions{Epsilon: 0.1, Delta: 0.05, Seed: 9, InitialSampleSize: 300}
 	// The same training against the coordinator's store handle, locally.
 	spec, _ := (modelio.SpecJSON{Name: "logistic"}).Spec()
-	want, err := core.TrainSourceContext(context.Background(), spec, h, opts.CoreOptions())
+	want, err := core.TrainSourceContext(context.Background(), spec, h, opts.Core())
 	if err != nil {
 		t.Fatalf("local train: %v", err)
 	}
@@ -330,7 +330,7 @@ func TestWorkerReportsTrainingError(t *testing.T) {
 	id, err := tc.coord.Submit(TaskSpec{Kind: KindTrain, Train: &TrainTask{
 		Spec:    modelio.SpecJSON{Name: "logistic"},
 		Dataset: DatasetRef{Synthetic: &Synth{Name: "counts", Rows: 500, Dim: 4, Seed: 1}},
-		Options: TrainOptions{Epsilon: 0.1, Seed: 1, InitialSampleSize: 100},
+		Options: core.WireOptions{Epsilon: 0.1, Seed: 1, InitialSampleSize: 100},
 	}})
 	if err != nil {
 		t.Fatalf("submit: %v", err)

@@ -249,6 +249,24 @@ func (c *Coordinator) Await(ctx context.Context, id string) (*TaskResultPayload,
 	}
 }
 
+// Dispatch implements Dispatcher: submit the task under ctx's trace, await
+// it, and rejoin the worker-side spans and ledger to ctx's trace and cost
+// record.
+func (c *Coordinator) Dispatch(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
+	spec.Trace = obs.TraceID(ctx)
+	id, err := c.Submit(spec)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := c.Await(ctx, id)
+	if err != nil {
+		return nil, err
+	}
+	obs.RecorderFrom(ctx).Add(payload.Spans)
+	obs.LedgerFrom(ctx).Merge(payload.Ledger)
+	return payload, nil
+}
+
 // CancelTask requests cancellation: pending tasks go terminal at once;
 // leased tasks are flagged, and the leaseholder learns via its next
 // heartbeat or lease response. Cancelling an unknown or terminal task is a

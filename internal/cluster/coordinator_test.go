@@ -5,6 +5,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"blinkml/internal/core"
 )
 
 // testConfig keeps heartbeats fast but the liveness timeout generous:
@@ -25,7 +27,7 @@ func testConfig() Config {
 func trialSpec() TaskSpec {
 	return TaskSpec{Kind: KindTrial, Trial: &TrialTask{
 		Dataset: DatasetRef{Synthetic: &Synth{Name: "higgs", Rows: 100, Dim: 4}},
-		Options: TrainOptions{Epsilon: 0.1},
+		Options: core.WireOptions{Epsilon: 0.1},
 	}}
 }
 

@@ -8,41 +8,40 @@ import (
 
 	"blinkml/internal/core"
 	"blinkml/internal/modelio"
-	"blinkml/internal/obs"
 	"blinkml/internal/tune"
 )
 
-// TrialRunner implements tune.Runner by shipping every trial to the
-// cluster: the searcher's leaderboard logic runs on the coordinator while
-// each candidate training (halving rungs and contract runs alike) becomes
-// one remote task. Concurrent RunTrial calls — the searcher's worker pool —
-// turn into concurrent outstanding tasks, so a search fans out across as
-// many cluster workers as are free.
+// TrialRunner implements tune.Runner by turning every trial into a task:
+// the searcher's leaderboard logic stays with the caller while each
+// candidate training (halving rungs and contract runs alike) goes through
+// the dispatcher. Concurrent RunTrial calls — the searcher's worker pool —
+// turn into concurrent outstanding tasks, so with a coordinator a search
+// fans out across as many cluster workers as are free.
 type TrialRunner struct {
-	coord   *Coordinator
+	d       Dispatcher
 	dataset DatasetRef
-	options TrainOptions
+	options core.WireOptions
 	poolLen int
 }
 
 // NewTrialRunner builds a runner for one search: every trial references the
-// same dataset and training options, so remote workers rebuild (and cache)
-// one shared environment per search, just like the in-process path.
-// poolLen is N for the dataset/options pair — core.PoolSize(rows, opts).
-func NewTrialRunner(coord *Coordinator, ref DatasetRef, opts TrainOptions, poolLen int) *TrialRunner {
-	return &TrialRunner{coord: coord, dataset: ref, options: opts, poolLen: poolLen}
+// same dataset and training options, so executors rebuild (and memoize)
+// one shared environment per search. poolLen is N for the dataset/options
+// pair — core.PoolSize(rows, opts).
+func NewTrialRunner(d Dispatcher, ref DatasetRef, opts core.WireOptions, poolLen int) *TrialRunner {
+	return &TrialRunner{d: d, dataset: ref, options: opts, poolLen: poolLen}
 }
 
 // PoolLen implements tune.Runner.
 func (r *TrialRunner) PoolLen() int { return r.poolLen }
 
-// RunTrial implements tune.Runner: submit, await, decode.
+// RunTrial implements tune.Runner: dispatch, decode.
 func (r *TrialRunner) RunTrial(ctx context.Context, t tune.Trial) (tune.TrialResult, error) {
 	sj, err := modelio.SpecToJSON(t.Spec)
 	if err != nil {
 		return tune.TrialResult{}, err
 	}
-	id, err := r.coord.Submit(TaskSpec{Kind: KindTrial, Trace: obs.TraceID(ctx), Trial: &TrialTask{
+	payload, err := r.d.Dispatch(ctx, TaskSpec{Kind: KindTrial, Trial: &TrialTask{
 		Spec:     sj,
 		Dataset:  r.dataset,
 		Options:  r.options,
@@ -54,14 +53,6 @@ func (r *TrialRunner) RunTrial(ctx context.Context, t tune.Trial) (tune.TrialRes
 	if err != nil {
 		return tune.TrialResult{}, err
 	}
-	payload, err := r.coord.Await(ctx, id)
-	if err != nil {
-		return tune.TrialResult{}, err
-	}
-	// Worker-side spans and ledger rejoin the submitting job's trace and
-	// cost record.
-	obs.RecorderFrom(ctx).Add(payload.Spans)
-	obs.LedgerFrom(ctx).Merge(payload.Ledger)
 	res := tune.TrialResult{
 		Theta:      payload.Theta,
 		Score:      DecodeScore(payload.Score),
@@ -70,7 +61,7 @@ func (r *TrialRunner) RunTrial(ctx context.Context, t tune.Trial) (tune.TrialRes
 	if t.Contract {
 		m, err := DecodeModel(payload.Model)
 		if err != nil {
-			return tune.TrialResult{}, fmt.Errorf("cluster: trial %s: %w", id, err)
+			return tune.TrialResult{}, fmt.Errorf("cluster: trial %s: %w", sj.Name, err)
 		}
 		res.Theta = m.Theta
 		res.SampleSize = m.SampleSize

@@ -8,22 +8,15 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"os"
 	"sync"
 	"time"
 
 	"blinkml/internal/compute"
-	"blinkml/internal/core"
-	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
-	"blinkml/internal/modelio"
-	"blinkml/internal/models"
 	"blinkml/internal/obs"
-	"blinkml/internal/optimize"
 	"blinkml/internal/store"
-	"blinkml/internal/tune"
 )
 
 // WorkerConfig sizes a Worker.
@@ -58,30 +51,20 @@ type Worker struct {
 	client *http.Client
 	log    *slog.Logger
 	cache  *store.Store
+	exec   *Executor
 
-	regMu     sync.Mutex // serializes (re-)registration
-	mu        sync.Mutex
-	id        string
-	hbEvery   time.Duration
-	running   map[string]*runningTask
-	fetchMu   sync.Mutex // serializes dataset bundle fetches
-	envMu     sync.Mutex
-	envs      map[string]*envEntry
-	envOrder  []string
-	envsLimit int
+	regMu   sync.Mutex // serializes (re-)registration
+	mu      sync.Mutex
+	id      string
+	hbEvery time.Duration
+	running map[string]*runningTask
+	fetchMu sync.Mutex // serializes dataset bundle fetches
 }
 
 // runningTask is one in-flight execution.
 type runningTask struct {
 	cancel    context.CancelFunc
 	cancelled bool // coordinator asked for cancellation
-}
-
-// envEntry memoizes one prepared training environment.
-type envEntry struct {
-	once sync.Once
-	env  *core.Env
-	err  error
 }
 
 // NewWorker validates cfg and opens the local dataset cache.
@@ -116,15 +99,15 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 	if logger == nil {
 		logger = slog.Default()
 	}
-	return &Worker{
-		cfg:       cfg,
-		client:    client,
-		log:       logger,
-		cache:     cache,
-		running:   make(map[string]*runningTask),
-		envs:      make(map[string]*envEntry),
-		envsLimit: 4,
-	}, nil
+	w := &Worker{
+		cfg:     cfg,
+		client:  client,
+		log:     logger,
+		cache:   cache,
+		running: make(map[string]*runningTask),
+	}
+	w.exec = NewExecutor(w.fetchDataset, 4)
+	return w, nil
 }
 
 // ID returns the coordinator-assigned worker id ("" before registration).
@@ -345,7 +328,7 @@ func (w *Worker) execute(ctx context.Context, lease *LeaseResponse) {
 
 	start := time.Now()
 	unbind := obs.BindLedger(ledger)
-	result, err := w.runTask(taskCtx, lease.Spec)
+	result, err := w.exec.Dispatch(taskCtx, lease.Spec)
 	unbind()
 	comp := CompleteRequest{WorkerID: workerID, TaskID: lease.TaskID}
 	switch {
@@ -426,186 +409,10 @@ func (w *Worker) complete(comp CompleteRequest) {
 	}
 }
 
-// runTask dispatches on the task kind.
-func (w *Worker) runTask(ctx context.Context, spec TaskSpec) (*TaskResultPayload, error) {
-	switch spec.Kind {
-	case KindTrain:
-		return w.runTrain(ctx, spec.Train)
-	case KindTrial:
-		return w.runTrial(ctx, spec.Trial)
-	case KindAudit:
-		return w.runAudit(ctx, spec.Audit)
-	default:
-		return nil, fmt.Errorf("cluster: unknown task kind %q", spec.Kind)
-	}
-}
-
-// runAudit replays one guarantee: rebuild the recorded environment, train
-// the full-data model, and measure the realized difference against the
-// shipped approximate parameters. The fingerprint of the full model's bits
-// rides back as the determinism witness.
-func (w *Worker) runAudit(ctx context.Context, t *AuditTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	env, err := w.envFor(ctx, t.Dataset, t.Options)
-	if err != nil {
-		return nil, err
-	}
-	optim := core.WithCancel(ctx, optimize.Options{MaxIters: t.Options.MaxIters})
-	rep, err := core.ValidateGuarantee(env, spec, &core.Result{Theta: t.Theta, EstimatedEpsilon: t.Bound}, optim)
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResultPayload{
-		Realized:     rep.Realized,
-		Satisfied:    rep.Satisfied,
-		FullIters:    rep.FullIters,
-		FullThetaFNV: fmt.Sprintf("%016x", core.ThetaFingerprint(rep.FullTheta)),
-	}, nil
-}
-
-// runTrain executes a full BlinkML training run and returns the model in
-// the modelio envelope.
-func (w *Worker) runTrain(ctx context.Context, t *TrainTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	src, err := w.source(ctx, t.Dataset)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.TrainSourceContext(ctx, spec, src, t.Options.CoreOptions())
-	if err != nil {
-		return nil, err
-	}
-	model, err := encodeModel(spec, res, src.Meta().Dim)
-	if err != nil {
-		return nil, err
-	}
-	return &TaskResultPayload{Model: model, SampleSize: res.SampleSize}, nil
-}
-
-// runTrial executes one search trial against the locally rebuilt
-// environment (identical to the coordinator's by split determinism).
-func (w *Worker) runTrial(ctx context.Context, t *TrialTask) (*TaskResultPayload, error) {
-	spec, err := t.Spec.Spec()
-	if err != nil {
-		return nil, err
-	}
-	opts := t.Options.CoreOptions()
-	env, err := w.envFor(ctx, t.Dataset, t.Options)
-	if err != nil {
-		return nil, err
-	}
-	runner := tune.NewEnvRunner(env, opts)
-	res, err := runner.RunTrial(ctx, tune.Trial{
-		Spec:     spec,
-		Contract: t.Contract,
-		N:        t.N,
-		Rung:     t.Rung,
-		Warm:     t.Warm,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := &TaskResultPayload{
-		Theta:      res.Theta,
-		Score:      encodeScore(res.Score),
-		SampleSize: res.SampleSize,
-	}
-	if res.Res != nil {
-		model, err := encodeModel(spec, res.Res, env.Holdout().Dim)
-		if err != nil {
-			return nil, err
-		}
-		out.Model = model
-	}
-	return out, nil
-}
-
-// envFor memoizes prepared environments per (dataset, options) so a search
-// of many trials pays data preparation once, like the in-process path.
-func (w *Worker) envFor(ctx context.Context, ref DatasetRef, opts TrainOptions) (*core.Env, error) {
-	key := ref.Key() + "|" + envOptionsKey(opts)
-	w.envMu.Lock()
-	e, ok := w.envs[key]
-	if !ok {
-		e = &envEntry{}
-		w.envs[key] = e
-		w.envOrder = append(w.envOrder, key)
-		for len(w.envOrder) > w.envsLimit {
-			old := w.envOrder[0]
-			w.envOrder = w.envOrder[1:]
-			if old != key {
-				delete(w.envs, old)
-			}
-		}
-	}
-	w.envMu.Unlock()
-	e.once.Do(func() {
-		src, err := w.source(ctx, ref)
-		if err != nil {
-			e.err = err
-			return
-		}
-		e.env, e.err = core.NewEnvFromSource(src, opts.CoreOptions())
-	})
-	if e.err != nil {
-		// A failed build must not poison the cache for later tasks (the
-		// fetch may have been interrupted by a cancellation).
-		w.envMu.Lock()
-		if w.envs[key] == e {
-			delete(w.envs, key)
-		}
-		w.envMu.Unlock()
-	}
-	return e.env, e.err
-}
-
-// envOptionsKey fingerprints the options fields that shape an environment
-// (split fractions and seed; the contract fields don't change the split but
-// keying on all of them is harmlessly conservative).
-func envOptionsKey(opts TrainOptions) string {
-	b, _ := json.Marshal(opts)
-	return string(b)
-}
-
-// source resolves a dataset reference: synthetic workloads regenerate
-// locally, inline rows come from the payload, and store ids resolve through
-// the local cache — fetched from the coordinator at most once per content.
-func (w *Worker) source(ctx context.Context, ref DatasetRef) (dataset.Source, error) {
-	switch {
-	case ref.Synthetic != nil:
-		s := ref.Synthetic
-		return datagen.Generate(s.Name, datagen.Config{Rows: s.Rows, Dim: s.Dim, Seed: s.Seed})
-	case ref.Inline != nil:
-		return ref.Inline.Build()
-	case ref.ID != "":
-		return w.fetchDataset(ctx, ref)
-	default:
-		return nil, errors.New("cluster: task has no dataset")
-	}
-}
-
-// Build materializes the inline payload as a Dataset (sparse payloads pack
-// into a CSR block, with the standard density-threshold dense fallback).
-func (d *Inline) Build() (*dataset.Dataset, error) {
-	task, err := dataset.ParseTask(d.Task)
-	if err != nil {
-		return nil, err
-	}
-	if len(d.Indices) > 0 {
-		return dataset.FromSparse(task, d.Dim, d.Indices, d.Values, d.Y, d.Classes)
-	}
-	return dataset.FromDense(task, d.X, d.Y, d.Classes)
-}
-
-// fetchDataset returns the cached handle for ref, downloading the bundle
-// from the coordinator when the cache misses (or holds different content).
-func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handle, error) {
+// fetchDataset is the worker's Resolver: it returns the cached handle for
+// ref, downloading the bundle from the coordinator when the cache misses
+// (or holds different content).
+func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (dataset.Source, error) {
 	w.fetchMu.Lock()
 	defer w.fetchMu.Unlock()
 	if h, err := w.cache.Get(ref.ID); err == nil {
@@ -648,42 +455,6 @@ func (w *Worker) fetchDataset(ctx context.Context, ref DatasetRef) (*store.Handl
 	obs.LedgerFrom(ctx).ChargeBundle(false)
 	w.log.Info("cached dataset", "dataset", ref.ID, "rows", h.Manifest().Rows)
 	return h, nil
-}
-
-// encodeScore maps a trial score to the wire (nil encodes NaN, which JSON
-// cannot carry).
-func encodeScore(v float64) *float64 {
-	if math.IsNaN(v) {
-		return nil
-	}
-	return &v
-}
-
-// DecodeScore is the inverse of encodeScore.
-func DecodeScore(p *float64) float64 {
-	if p == nil {
-		return math.NaN()
-	}
-	return *p
-}
-
-// encodeModel serializes a training result as a modelio envelope.
-func encodeModel(spec models.Spec, res *core.Result, dim int) ([]byte, error) {
-	var buf bytes.Buffer
-	err := modelio.Encode(&buf, &modelio.Model{
-		Spec:             spec,
-		Theta:            res.Theta,
-		Dim:              dim,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // errInfra marks failures of the worker's own infrastructure (dataset

@@ -129,6 +129,64 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// WireOptions is the JSON-safe form of Options: what cluster task payloads
+// carry to workers and what audit records persist for replays. Options
+// itself does not travel because its optimizer carries callback fields.
+// The JSON keys are the audit log's on-disk format; do not rename them.
+type WireOptions struct {
+	Epsilon           float64 `json:"epsilon"`
+	Delta             float64 `json:"delta"`
+	K                 int     `json:"k"`
+	Method            Method  `json:"method"`
+	Seed              int64   `json:"seed"`
+	InitialSampleSize int     `json:"initial_sample_size"`
+	MinSampleSize     int     `json:"min_sample_size,omitempty"`
+	HoldoutFraction   float64 `json:"holdout_fraction"`
+	MaxHoldout        int     `json:"max_holdout"`
+	TestFraction      float64 `json:"test_fraction,omitempty"`
+	WarmStart         bool    `json:"warm_start,omitempty"`
+	MaxIters          int     `json:"max_iters,omitempty"`
+}
+
+// Wire captures the wire fields of o with defaults resolved, so whoever
+// rebuilds the options — a worker now, a replay after the defaults have
+// changed — gets the identical training environment.
+func (o Options) Wire() WireOptions {
+	o = o.withDefaults()
+	return WireOptions{
+		Epsilon:           o.Epsilon,
+		Delta:             o.Delta,
+		K:                 o.K,
+		Method:            o.Method,
+		Seed:              o.Seed,
+		InitialSampleSize: o.InitialSampleSize,
+		MinSampleSize:     o.MinSampleSize,
+		HoldoutFraction:   o.HoldoutFraction,
+		MaxHoldout:        o.MaxHoldout,
+		TestFraction:      o.TestFraction,
+		WarmStart:         o.WarmStart,
+		MaxIters:          o.Optimizer.MaxIters,
+	}
+}
+
+// Core rebuilds the training options.
+func (w WireOptions) Core() Options {
+	return Options{
+		Epsilon:           w.Epsilon,
+		Delta:             w.Delta,
+		K:                 w.K,
+		Method:            w.Method,
+		Seed:              w.Seed,
+		InitialSampleSize: w.InitialSampleSize,
+		MinSampleSize:     w.MinSampleSize,
+		HoldoutFraction:   w.HoldoutFraction,
+		MaxHoldout:        w.MaxHoldout,
+		TestFraction:      w.TestFraction,
+		WarmStart:         w.WarmStart,
+		Optimizer:         optimize.Options{MaxIters: w.MaxIters},
+	}
+}
+
 func (o Options) validate() error {
 	if o.Epsilon <= 0 || o.Epsilon > 1 {
 		return fmt.Errorf("core: Epsilon must be in (0,1], got %v", o.Epsilon)

@@ -29,8 +29,9 @@
 //	GET    /metrics.json           raw expvar JSON (the pre-Prometheus /metrics shape)
 //
 // In cluster mode (Config.Cluster) the coordinator protocol is mounted
-// under /v1/cluster (see internal/cluster) and jobs execute on remote
-// blinkml-worker processes instead of in-process.
+// under /v1/cluster (see internal/cluster) and job tasks execute on remote
+// blinkml-worker processes instead of in-process — through the same task
+// executor either way.
 //
 // Training and tuning requests reference data three ways: synthetic
 // workloads, inline rows, or a dataset_id naming a stored upload — the
@@ -48,10 +49,12 @@ import (
 	"time"
 
 	"blinkml/internal/audit"
+	"blinkml/internal/cluster"
 	"blinkml/internal/core"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/obs"
+	"blinkml/internal/optimize"
 )
 
 // TrainRequest is the body of POST /v1/train: a model spec, a dataset
@@ -74,6 +77,19 @@ type TrainOptions struct {
 	MinSampleSize     int   `json:"min_sample_size,omitempty"`
 	MaxIters          int   `json:"max_iters,omitempty"`
 	WarmStart         bool  `json:"warm_start,omitempty"`
+}
+
+// coreOptions maps the request to the training options it runs with.
+func (r *TrainRequest) coreOptions() core.Options {
+	return core.Options{
+		Epsilon:           r.Epsilon,
+		Delta:             r.Delta,
+		Seed:              r.Options.Seed,
+		InitialSampleSize: r.Options.InitialSampleSize,
+		MinSampleSize:     r.Options.MinSampleSize,
+		WarmStart:         r.Options.WarmStart,
+		Optimizer:         optimize.Options{MaxIters: r.Options.MaxIters},
+	}
 }
 
 // Validate checks the request before it is admitted to the queue, so a
@@ -124,7 +140,7 @@ func (r *DatasetRef) Validate() error {
 		}
 		return nil
 	case r.Inline != nil:
-		return r.Inline.validate()
+		return validateInline(r.Inline)
 	case r.ID != "":
 		return nil
 	default:
@@ -132,45 +148,19 @@ func (r *DatasetRef) Validate() error {
 	}
 }
 
-// SyntheticRef selects one of the generated workloads ("gas", "power",
-// "criteo", "higgs", "mnist", "yelp", "counts"); zero Rows/Dim use the
-// per-dataset defaults.
-type SyntheticRef struct {
-	Name string `json:"name"`
-	Rows int    `json:"rows,omitempty"`
-	Dim  int    `json:"dim,omitempty"`
-	Seed int64  `json:"seed,omitempty"`
-}
+// SyntheticRef selects one of the generated workloads; it is the task
+// payload type itself, so requests and tasks share one definition.
+type SyntheticRef = cluster.Synth
 
-// InlineData is a dataset shipped in the request body, either dense
-// (row-major x) or sparse (per-row indices/values over an ambient dim) —
-// exactly one of the two shapes must be present. Sparse uploads at or below
-// the density threshold train on the sparse kernels; denser ones auto-fall
-// back to dense rows, with bit-identical results either way.
-type InlineData struct {
-	// Task is "regression", "binary", "multiclass", or "unsupervised".
-	Task string `json:"task"`
-	// X holds dense rows.
-	X [][]float64 `json:"x,omitempty"`
-	// Dim is the ambient dimension for sparse rows (0 = infer from the
-	// largest index). Indices[i] are strictly increasing 0-based feature
-	// ids; Values[i] the matching entries.
-	Dim     int         `json:"dim,omitempty"`
-	Indices [][]int32   `json:"indices,omitempty"`
-	Values  [][]float64 `json:"values,omitempty"`
-	// Y holds labels (empty for unsupervised).
-	Y []float64 `json:"y,omitempty"`
-	// Classes is K for multiclass (0 = infer from the labels).
-	Classes int `json:"classes,omitempty"`
-}
+// InlineData is a dataset shipped in the request body, dense or sparse
+// (exactly one of the two shapes); like SyntheticRef it is the task payload
+// type itself.
+type InlineData = cluster.Inline
 
 // ParseTask maps a wire task name to the dataset constant.
 func ParseTask(s string) (dataset.Task, error) { return dataset.ParseTask(s) }
 
-// Sparse reports whether the payload uses the sparse shape.
-func (d *InlineData) Sparse() bool { return len(d.Indices) > 0 }
-
-func (d *InlineData) validate() error {
+func validateInline(d *InlineData) error {
 	if len(d.X) == 0 && len(d.Indices) == 0 {
 		return errors.New("serve: inline dataset has no rows (set x, or indices+values)")
 	}
@@ -184,26 +174,6 @@ func (d *InlineData) validate() error {
 		return err
 	}
 	return nil
-}
-
-// Rows returns the number of rows in either shape.
-func (d *InlineData) Rows() int {
-	if d.Sparse() {
-		return len(d.Indices)
-	}
-	return len(d.X)
-}
-
-// Build materializes the inline data as a Dataset.
-func (d *InlineData) Build() (*dataset.Dataset, error) {
-	task, err := ParseTask(d.Task)
-	if err != nil {
-		return nil, err
-	}
-	if d.Sparse() {
-		return dataset.FromSparse(task, d.Dim, d.Indices, d.Values, d.Y, d.Classes)
-	}
-	return dataset.FromDense(task, d.X, d.Y, d.Classes)
 }
 
 // TrainResponse acknowledges an enqueued job.

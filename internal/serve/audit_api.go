@@ -10,34 +10,22 @@ import (
 
 	"blinkml/internal/audit"
 	"blinkml/internal/cluster"
-	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
-	"blinkml/internal/obs"
 )
 
-// resolveAuditSource turns a recorded dataset reference (the serve-layer
-// DatasetRef JSON, stored opaquely in the audit record) back into a data
-// source for replay.
-func (s *Server) resolveAuditSource(_ context.Context, raw json.RawMessage) (dataset.Source, error) {
-	if len(raw) == 0 {
-		return nil, errors.New("serve: audit record has no dataset reference")
-	}
-	var ref DatasetRef
-	if err := json.Unmarshal(raw, &ref); err != nil {
-		return nil, fmt.Errorf("serve: decode audit dataset ref: %w", err)
-	}
-	return s.buildSource(ref)
-}
-
-// clusterReplayer runs audit replays on the worker fleet: the full-data
-// training a replay needs is exactly the work the cluster exists to
-// spread. The worker rebuilds the recorded environment (identical by split
-// determinism) and ships back the realized difference plus the full
-// model's bit fingerprint.
-type clusterReplayer struct{ s *Server }
+// replayer runs audit replays as audit tasks through the server's
+// dispatcher: on the worker fleet in cluster mode (the full-data training a
+// replay needs is exactly the work the cluster exists to spread),
+// in-process otherwise. The executor rebuilds the recorded environment from
+// the record's full options (identical by split determinism) and ships
+// back the realized difference plus the full model's bit fingerprint.
+type replayer struct{ s *Server }
 
 // Replay implements audit.Replayer.
-func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modelio.Model) (audit.ReplayOutcome, error) {
+func (r replayer) Replay(ctx context.Context, rec audit.Record, m *modelio.Model) (audit.ReplayOutcome, error) {
+	if len(rec.Dataset) == 0 {
+		return audit.ReplayOutcome{}, errors.New("serve: audit record has no dataset reference")
+	}
 	var ref DatasetRef
 	if err := json.Unmarshal(rec.Dataset, &ref); err != nil {
 		return audit.ReplayOutcome{}, fmt.Errorf("serve: decode audit dataset ref: %w", err)
@@ -46,23 +34,19 @@ func (r clusterReplayer) Replay(ctx context.Context, rec audit.Record, m *modeli
 	if err != nil {
 		return audit.ReplayOutcome{}, err
 	}
-	id, err := r.s.coord.Submit(cluster.TaskSpec{Kind: cluster.KindAudit, Trace: obs.TraceID(ctx), Audit: &cluster.AuditTask{
+	payload, err := r.s.dispatcher().Dispatch(ctx, cluster.TaskSpec{Kind: cluster.KindAudit, Audit: &cluster.AuditTask{
 		Spec:    rec.Spec,
 		Dataset: cref,
-		Options: clusterTrainOptions(rec.Options.Core()),
+		Options: rec.Options,
 		Theta:   m.Theta,
 		Bound:   rec.EpsilonHat,
 	}})
 	if err != nil {
 		return audit.ReplayOutcome{}, err
 	}
-	payload, err := r.s.coord.Await(ctx, id)
-	if err != nil {
-		return audit.ReplayOutcome{}, err
-	}
 	fnv, err := strconv.ParseUint(payload.FullThetaFNV, 16, 64)
 	if err != nil {
-		return audit.ReplayOutcome{}, fmt.Errorf("serve: worker audit fingerprint %q: %w", payload.FullThetaFNV, err)
+		return audit.ReplayOutcome{}, fmt.Errorf("serve: audit fingerprint %q: %w", payload.FullThetaFNV, err)
 	}
 	return audit.ReplayOutcome{
 		Realized:     payload.Realized,

@@ -17,7 +17,6 @@ import (
 	"blinkml/internal/cluster"
 	"blinkml/internal/compute"
 	"blinkml/internal/core"
-	"blinkml/internal/datagen"
 	"blinkml/internal/dataset"
 	"blinkml/internal/modelio"
 	"blinkml/internal/models"
@@ -53,10 +52,10 @@ type Config struct {
 	// never fan out into W×Parallelism goroutines.
 	Parallelism int
 	// Cluster, when non-nil, runs the server as a cluster coordinator:
-	// train and tune jobs are dispatched to registered blinkml-worker
-	// processes instead of training in-process (tune jobs are decomposed to
-	// per-trial tasks), and the cluster protocol is mounted under
-	// /v1/cluster. Nil keeps the fully local, single-process behavior.
+	// job tasks (a train job, each tune trial, each audit replay) are
+	// dispatched to registered blinkml-worker processes instead of running
+	// in-process, and the cluster protocol is mounted under /v1/cluster.
+	// Nil runs the same tasks through the same executor in this process.
 	Cluster *cluster.Config
 	// Logger receives structured job/coordinator lifecycle events, scoped
 	// per request by trace ID. Nil discards (tests, embedded servers);
@@ -141,7 +140,6 @@ type Server struct {
 	store   *store.Store
 	queue   *Queue
 	coord   *cluster.Coordinator // non-nil in cluster mode
-	exec    executor
 	mux     *http.ServeMux
 	m       *Metrics
 	log     *slog.Logger
@@ -232,9 +230,6 @@ func New(cfg Config) (*Server, error) {
 			ccfg.Logger = log
 		}
 		s.coord = cluster.NewCoordinator(ccfg, st)
-		s.exec = &clusterExecutor{s: s, coord: s.coord}
-	} else {
-		s.exec = localExecutor{s: s}
 	}
 	al, err := audit.Open(cfg.AuditDir, log)
 	if err != nil {
@@ -246,13 +241,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.audit = al
-	// Replays train the full-data model — in cluster mode that work fans
-	// out to the fleet, locally it runs through the shared compute pool.
-	var replayer audit.Replayer = audit.LocalReplayer{Resolve: s.resolveAuditSource}
-	if s.coord != nil {
-		replayer = clusterReplayer{s: s}
-	}
-	s.auditor = audit.NewAuditor(al, s.reg.Get, replayer, audit.Config{
+	s.auditor = audit.NewAuditor(al, s.reg.Get, replayer{s}, audit.Config{
 		Fraction: cfg.AuditFraction,
 		Interval: cfg.AuditInterval,
 		Logger:   log,
@@ -335,7 +324,7 @@ func (s *Server) routes() {
 }
 
 // trainTask is the queued form of POST /v1/train; its work runs through the
-// server's executor — in-process by default, on cluster workers in
+// server's dispatcher — in-process by default, on cluster workers in
 // coordinator mode.
 type trainTask struct {
 	s   *Server
@@ -350,11 +339,11 @@ func (t trainTask) datasetID() string { return t.req.Dataset.ID }
 
 // Run implements Task.
 func (t trainTask) Run(ctx context.Context) (TaskResult, error) {
-	return t.s.exec.execTrain(ctx, t.req)
+	return t.s.runTrain(ctx, t.req)
 }
 
 // tuneTask is the queued form of POST /v1/tune; like trainTask it runs
-// through the server's executor.
+// through the server's dispatcher.
 type tuneTask struct {
 	s   *Server
 	req TuneRequest
@@ -368,32 +357,25 @@ func (t tuneTask) datasetID() string { return t.req.Dataset.ID }
 
 // Run implements Task.
 func (t tuneTask) Run(ctx context.Context) (TaskResult, error) {
-	return t.s.exec.execTune(ctx, t.req)
+	return t.s.runTune(ctx, t.req)
 }
 
-// registerModel persists a trained model, refreshes the stored-models
-// gauge, and appends the job's guarantee-calibration record to the audit
-// log. kind is "train" or "tune"; ref and opts are what a later replay
-// needs to rebuild the identical training environment.
-func (s *Server) registerModel(ctx context.Context, kind string, spec models.Spec, theta []float64, dim int, ref DatasetRef, opts core.Options, res *core.Result) (string, error) {
+// registerModel persists a trained model (the job's "registry" stage),
+// refreshes the stored-models gauge, and appends the job's
+// guarantee-calibration record to the audit log. kind is "train" or
+// "tune"; ref and opts are what a later replay needs to rebuild the
+// identical training environment.
+func (s *Server) registerModel(ctx context.Context, kind string, m *modelio.Model, ref DatasetRef, opts core.WireOptions) (string, error) {
+	defer obs.StartSpan(ctx, "registry")()
+	m.CreatedAt = time.Now().UTC()
 	regStart := time.Now()
-	id, err := s.reg.Put(&modelio.Model{
-		Spec:             spec,
-		Theta:            theta,
-		Dim:              dim,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EstimatedEpsilon: res.EstimatedEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Diag:             res.Diag,
-		CreatedAt:        time.Now().UTC(),
-	})
+	id, err := s.reg.Put(m)
 	obs.LedgerFrom(ctx).ChargeRegistryIO(time.Since(regStart))
 	if err != nil {
 		return "", err
 	}
 	s.m.ModelsStored.Set(int64(s.reg.Len()))
-	s.recordAudit(ctx, kind, id, spec, ref, opts, res)
+	s.recordAudit(ctx, kind, id, m, ref, opts)
 	return id, nil
 }
 
@@ -401,11 +383,11 @@ func (s *Server) registerModel(ctx context.Context, kind string, spec models.Spe
 // model. Audit is an observability plane: a failed append is logged, never
 // surfaced — a full disk must not fail the training job that already
 // produced a registered model.
-func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.Spec, ref DatasetRef, opts core.Options, res *core.Result) {
+func (s *Server) recordAudit(ctx context.Context, kind, id string, m *modelio.Model, ref DatasetRef, opts core.WireOptions) {
 	if s.audit == nil {
 		return
 	}
-	sj, err := modelio.SpecToJSON(spec)
+	sj, err := modelio.SpecToJSON(m.Spec)
 	if err != nil {
 		s.log.Warn("audit record skipped: unencodable spec", "model", id, "err", err)
 		return
@@ -418,7 +400,6 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.S
 	if cref, _, err := s.clusterDatasetRef(ref); err == nil {
 		fp = cref.Key()
 	}
-	o := opts.WithDefaults()
 	rec := audit.Record{
 		ModelID:          id,
 		JobID:            obs.JobID(ctx),
@@ -428,15 +409,15 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.S
 		Spec:             sj,
 		Dataset:          dsJSON,
 		Fingerprint:      fp,
-		Epsilon:          o.Epsilon,
-		Delta:            o.Delta,
-		K:                o.K,
-		SampleSize:       res.SampleSize,
-		PoolSize:         res.PoolSize,
-		EpsilonHat:       res.EstimatedEpsilon,
-		InitialEpsilon:   res.Diag.InitialEpsilon,
-		UsedInitialModel: res.UsedInitialModel,
-		Options:          audit.FromCore(o),
+		Epsilon:          opts.Epsilon,
+		Delta:            opts.Delta,
+		K:                opts.K,
+		SampleSize:       m.SampleSize,
+		PoolSize:         m.PoolSize,
+		EpsilonHat:       m.EstimatedEpsilon,
+		InitialEpsilon:   m.Diag.InitialEpsilon,
+		UsedInitialModel: m.UsedInitialModel,
+		Options:          opts,
 		CreatedAt:        time.Now().UTC(),
 		// Snapshot at registration time: training is done; only the registry
 		// I/O tail is still accruing.
@@ -444,23 +425,6 @@ func (s *Server) recordAudit(ctx context.Context, kind, id string, spec models.S
 	}
 	if err := s.audit.Append(rec); err != nil {
 		s.log.Warn("audit record append failed", "model", id, "err", err)
-	}
-}
-
-// buildSource resolves a dataset reference to a Source: synthetic and
-// inline data are materialized in memory; a dataset_id resolves to the
-// store handle, which reads rows on demand.
-func (s *Server) buildSource(ref DatasetRef) (dataset.Source, error) {
-	switch {
-	case ref.Synthetic != nil:
-		r := ref.Synthetic
-		return datagen.Generate(r.Name, datagen.Config{Rows: r.Rows, Dim: r.Dim, Seed: r.Seed})
-	case ref.Inline != nil:
-		return ref.Inline.Build()
-	case ref.ID != "":
-		return s.store.Get(ref.ID)
-	default:
-		return nil, errors.New("serve: missing dataset")
 	}
 }
 
