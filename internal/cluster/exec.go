@@ -41,8 +41,10 @@ type Executor struct {
 	mu    sync.Mutex
 	envs  map[string]*envEntry
 	order []string
-	limit int
 }
+
+// envsLimit bounds the prepared environments an executor keeps memoized.
+const envsLimit = 4
 
 // envEntry memoizes one prepared training environment.
 type envEntry struct {
@@ -52,10 +54,10 @@ type envEntry struct {
 }
 
 // NewExecutor returns an executor that opens stored datasets through
-// resolve and keeps up to envs prepared environments memoized, so the
+// resolve and keeps up to envsLimit prepared environments memoized, so the
 // trials of one search pay data preparation once.
-func NewExecutor(resolve Resolver, envs int) *Executor {
-	return &Executor{resolve: resolve, envs: make(map[string]*envEntry), limit: envs}
+func NewExecutor(resolve Resolver) *Executor {
+	return &Executor{resolve: resolve, envs: make(map[string]*envEntry)}
 }
 
 // Dispatch implements Dispatcher by running the task in the calling
@@ -167,7 +169,7 @@ func (e *Executor) envFor(ctx context.Context, ref DatasetRef, opts core.WireOpt
 		ent = &envEntry{}
 		e.envs[key] = ent
 		e.order = append(e.order, key)
-		for len(e.order) > e.limit {
+		for len(e.order) > envsLimit {
 			old := e.order[0]
 			e.order = e.order[1:]
 			if old != key {

@@ -23,7 +23,7 @@ func TestExecutorSharesOneEnvAcrossTrials(t *testing.T) {
 	}
 	ref := DatasetRef{Inline: in}
 	opts := core.Options{Epsilon: 0.1, Seed: 3, InitialSampleSize: 200}.Wire()
-	e := NewExecutor(nil, 1)
+	e := NewExecutor(nil)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {

@@ -65,6 +65,9 @@ func (r *TrialRunner) RunTrial(ctx context.Context, t tune.Trial) (tune.TrialRes
 		}
 		res.Theta = m.Theta
 		res.SampleSize = m.SampleSize
+		// The executor trained a copy decoded from sj; the envelope's spec
+		// carries what training recorded on it (PPCA's σ²).
+		res.Spec = m.Spec
 		res.Res = &core.Result{
 			Theta:            m.Theta,
 			SampleSize:       m.SampleSize,

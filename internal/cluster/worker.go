@@ -106,7 +106,7 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 		cache:   cache,
 		running: make(map[string]*runningTask),
 	}
-	w.exec = NewExecutor(w.fetchDataset, 4)
+	w.exec = NewExecutor(w.fetchDataset)
 	return w, nil
 }
 

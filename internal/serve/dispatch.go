@@ -26,7 +26,7 @@ func (s *Server) dispatcher() cluster.Dispatcher {
 	if s.coord != nil {
 		return s.coord
 	}
-	return cluster.NewExecutor(s.openDataset, 1)
+	return cluster.NewExecutor(s.openDataset)
 }
 
 // openDataset is the in-process executor's cluster.Resolver: stored ids

@@ -40,6 +40,11 @@ type TrialResult struct {
 	SampleSize int
 	// Res is the contract-training outcome (contract trials only).
 	Res *core.Result
+	// Spec is the contract-trained spec when the runner trained a copy of
+	// Trial.Spec (a serialized trial); it carries the derived state
+	// training recorded (PPCA's σ²), so the searcher adopts it in place of
+	// the candidate's. nil when the runner trained Trial.Spec itself.
+	Spec models.Spec
 }
 
 // Runner executes trials for a search. The searcher is agnostic to where a

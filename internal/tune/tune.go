@@ -297,6 +297,11 @@ func (s *searcher) trainContract(ctx context.Context, st *candState) {
 		st.err = err
 		return
 	}
+	if res.Spec != nil {
+		// The runner trained a copy: carry what training recorded on it
+		// to the leaderboard and the winner.
+		st.cand.Spec = res.Spec
+	}
 	st.res = res.Res
 	st.theta = res.Theta
 	st.sampleSize = res.SampleSize
